@@ -64,6 +64,7 @@ from repro.sat.backend import (
     create_backend,
     require_backend,
 )
+from repro.sat.cnf import Cnf
 from repro.sat.solver import Status
 
 #: First time slice of a SAT query issued under a cancellation token or a
@@ -898,8 +899,11 @@ class ReversiblePebblingSolver:
             assumptions = cube_literals + [
                 guard_of_bound[step] for step in sorted(ladder, reverse=True)
             ]
-            for clause in encoder.drain_new_clauses():
-                solver.add_clause(clause.literals)
+            # One add_cnf per drain: backends with a batch loader (the
+            # native core) take the whole frame in one call.
+            solver.add_cnf(
+                Cnf(pool=encoder.cnf.pool, clauses=encoder.drain_new_clauses())
+            )
             # Pebble and guard variables are re-mentioned by every later
             # frame and assumption ladder; backends with root-level variable
             # elimination must never eliminate them.  The loop deliberately

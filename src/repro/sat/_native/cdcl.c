@@ -619,6 +619,31 @@ int32_t cdcl_add_clause(void *handle, const int32_t *dimacs, int32_t size) {
     return 1;
 }
 
+/* Load a batch of clauses in one call.  `flat` holds `total` int32s laid
+ * out as `size, lit..., size, lit...`.  The whole buffer is validated
+ * before anything is added — every size fits inside `total`, no literal
+ * is 0 or INT32_MIN (whose negation overflows) — so a rejected batch
+ * returns -1 and leaves the solver untouched.  Otherwise each clause goes
+ * through cdcl_add_clause and the result is the solver's ok flag. */
+int32_t cdcl_add_clauses(void *handle, const int32_t *flat, int32_t total) {
+    Solver *s = handle;
+    for (int32_t at = 0; at < total;) {
+        int32_t size = flat[at++];
+        if (size < 0 || size > total - at)
+            return -1;
+        for (int32_t i = 0; i < size; i++)
+            if (flat[at + i] == 0 || flat[at + i] == INT32_MIN)
+                return -1;
+        at += size;
+    }
+    for (int32_t at = 0; at < total && s->ok;) {
+        int32_t size = flat[at++];
+        cdcl_add_clause(s, flat + at, size);
+        at += size;
+    }
+    return s->ok;
+}
+
 int32_t cdcl_solve(void *handle, const int32_t *assumptions, int32_t num_assumptions,
                    int64_t conflict_limit, double time_limit) {
     Solver *s = handle;

@@ -23,6 +23,7 @@ import hashlib
 import shutil
 import subprocess
 import time
+from array import array
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 from threading import Lock
@@ -33,6 +34,12 @@ from repro.sat.solver import SolveResult, SolverStats, Status
 _SOURCE = Path(__file__).resolve().parent / "_native" / "cdcl.c"
 _BUILD_DIR = _SOURCE.parent / "build"
 _COMPILERS = ("cc", "gcc", "clang")
+
+# Literals cross the ABI as int32; anything outside (-2**31, 2**31) would
+# be silently wrapped by ctypes, so every entry point rejects it instead.
+_LITERAL_LIMIT = 2**31
+# add_cnf hands the C core an array('i') buffer in place.
+assert array("i").itemsize == 4
 
 _SAT = 1
 _UNSAT = -1
@@ -60,6 +67,10 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.cdcl_num_variables.argtypes = [ctypes.c_void_p]
     lib.cdcl_add_clause.restype = ctypes.c_int32
     lib.cdcl_add_clause.argtypes = [
+        ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_int32,
+    ]
+    lib.cdcl_add_clauses.restype = ctypes.c_int32
+    lib.cdcl_add_clauses.argtypes = [
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_int32,
     ]
     lib.cdcl_solve.restype = ctypes.c_int32
@@ -177,25 +188,37 @@ class NativeCdclSolver:
         return self._declared
 
     def add_clause(self, literals: Iterable[int]) -> bool:
-        clause: list[int] = []
-        for literal in literals:
-            if (
-                isinstance(literal, bool)
-                or not isinstance(literal, int)
-                or literal == 0
-            ):
-                raise SolverError(f"invalid literal {literal!r}")
-            clause.append(literal)
-        array = (ctypes.c_int32 * len(clause))(*clause)
+        clause = _checked(literals, "literal")
+        packed = (ctypes.c_int32 * len(clause))(*clause)
         return bool(
-            self._lib.cdcl_add_clause(self._handle, array, len(clause))
+            self._lib.cdcl_add_clause(self._handle, packed, len(clause))
         )
 
     def add_cnf(self, cnf) -> None:
-        while self.num_variables < cnf.num_variables:
-            self.add_variable()
+        """Load every clause of ``cnf`` with one foreign call.
+
+        The clauses are packed into one length-prefixed int32 buffer
+        (``size, lit..., size, lit...``).  ``array`` rejects non-int and
+        out-of-range values while packing; the C core rejects ``0`` and
+        ``-2**31``.  Either way the batch raises :class:`SolverError` and
+        nothing of it is loaded.
+        """
+        # A list packed into the array at the end measured faster than
+        # growing the array clause by clause.
+        values: list[int] = []
         for clause in cnf.clauses:
-            self.add_clause(clause.literals)
+            literals = clause.literals
+            values.append(len(literals))
+            values.extend(literals)
+        try:
+            flat = array("i", values)
+        except (TypeError, OverflowError) as exc:
+            raise SolverError(f"invalid literal in clause batch: {exc}") from exc
+        if flat:
+            buffer = (ctypes.c_int32 * len(flat)).from_buffer(flat)
+            if self._lib.cdcl_add_clauses(self._handle, buffer, len(flat)) < 0:
+                raise SolverError("invalid literal in clause batch")
+        self._declared = max(self._declared, cnf.num_variables)
 
     def solve(
         self,
@@ -207,16 +230,13 @@ class NativeCdclSolver:
         # The C core opens one (possibly empty) decision level per
         # assumption; deduplicating here keeps that stack linear in the
         # variable count without changing the semantics or the core.
-        unique = list(dict.fromkeys(assumptions))
-        for literal in unique:
-            if literal == 0 or not isinstance(literal, int):
-                raise SolverError(f"invalid assumption literal {literal!r}")
-        array = (ctypes.c_int32 * len(unique))(*unique)
+        unique = list(dict.fromkeys(_checked(assumptions, "assumption literal")))
+        packed = (ctypes.c_int32 * len(unique))(*unique)
         budget = conflict_limit if conflict_limit is not None else self._conflict_limit
         started = time.monotonic()
         verdict = self._lib.cdcl_solve(
             self._handle,
-            array,
+            packed,
             len(unique),
             -1 if budget is None else budget,
             -1.0 if time_limit is None else time_limit,
@@ -270,6 +290,22 @@ class NativeCdclSolver:
         stats.max_decision_level = int(self._lib.cdcl_counter(self._handle, 6))
         stats.solve_time = self._last_seconds
         return stats
+
+
+def _checked(literals: Iterable[int], what: str) -> list[int]:
+    """``literals`` as a list, or :class:`SolverError` on the first that
+    is not a non-zero int32 (``bool`` included: ``True`` is not ``1``)."""
+    checked: list[int] = []
+    for literal in literals:
+        if (
+            isinstance(literal, bool)
+            or not isinstance(literal, int)
+            or literal == 0
+            or not -_LITERAL_LIMIT < literal < _LITERAL_LIMIT
+        ):
+            raise SolverError(f"invalid {what} {literal!r}")
+        checked.append(literal)
+    return checked
 
 
 # Structural registration: isinstance checks against the backend protocol

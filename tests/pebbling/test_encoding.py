@@ -312,6 +312,59 @@ class TestFrameEngine:
             assert CdclSolver(one_shot.cnf).solve().is_sat is expected
 
 
+def _check_frame_clause(literals):
+    assert literals, "empty clause in a frame"
+    for literal in literals:
+        assert type(literal) is int and literal != 0, literals
+    assert len(set(literals)) == len(literals), f"duplicate literal: {literals}"
+    assert not any(-literal in literals for literal in literals), (
+        f"complementary pair: {literals}"
+    )
+
+
+@pytest.mark.parametrize(
+    "workload, budget",
+    [("fig2", 4), ("c17", 4), ("and9", 4), ("hadamard", 5), ("edwards-add", 9)],
+)
+@pytest.mark.parametrize(
+    "cardinality", [CardinalityEncoding.SEQUENTIAL, CardinalityEncoding.TOTALIZER]
+)
+@pytest.mark.parametrize("single_move", [False, True])
+def test_drained_frames_hold_only_clean_clauses(
+    monkeypatch, workload, budget, cardinality, single_move
+):
+    """Every clause the frame engine hands the SAT backend is a set of
+    non-zero int literals with no complementary pair — before ``Clause``
+    deduplicates (the literals the encoder passes in) and after (what
+    ``drain_new_clauses`` returns)."""
+    from repro.workloads import load_workload
+
+    add_clause = Cnf.add_clause
+
+    def checked_add_clause(cnf, literals):
+        literals = list(literals)
+        _check_frame_clause(literals)
+        return add_clause(cnf, literals)
+
+    monkeypatch.setattr(Cnf, "add_clause", checked_add_clause)
+    options = EncodingOptions(
+        cardinality=cardinality, max_moves_per_step=1 if single_move else None
+    )
+    encoder = PebblingEncoder(
+        load_workload(workload), max_pebbles=budget, options=options
+    )
+    drained = 0
+    for bound in range(1, 7):
+        encoder.extend_to(bound)
+        encoder.final_guard(bound)
+        frame = encoder.drain_new_clauses()
+        assert frame
+        for clause in frame:
+            _check_frame_clause(list(clause.literals))
+        drained += len(frame)
+    assert drained == encoder.cnf.num_clauses
+
+
 class TestWeightedEncoding:
     def test_unit_weights_emit_identical_cnf(self, fig2_dag):
         plain = PebblingEncoder(fig2_dag).encode(max_pebbles=4, num_steps=5)
