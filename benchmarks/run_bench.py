@@ -80,6 +80,11 @@ stay under 5%; a traced portfolio run on the flaky chaos backend (forced
 retries) and a traced cube-and-conquer run (first-winner cancellation)
 must both merge into *complete* span trees — every span's parent
 resolvable and every ``sat.call`` span carrying its bound and verdict.
+
+Since schema v11 the ``simplify`` scenario of schema v10 is gone together
+with the techniques it ablated (bounded variable elimination,
+vivification, chronological backtracking, rephasing), and ``profile``
+rows no longer carry ``bve``/``vivify`` sub-slices of ``inprocess``.
 """
 
 from __future__ import annotations
@@ -114,7 +119,6 @@ from repro.pebbling.portfolio import (  # noqa: E402
     tasks_from_suite,
 )
 from repro.pebbling.solver import ReversiblePebblingSolver  # noqa: E402
-from repro.sat.backend import create_backend  # noqa: E402
 from repro.sat.cnf import Cnf  # noqa: E402
 from repro.sat.instances import pigeonhole, random_3sat  # noqa: E402
 from repro.sat.solver import CdclSolver  # noqa: E402
@@ -122,7 +126,7 @@ from repro.pebbling.search import GeometricRefine  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
 from repro.workloads import load_workload  # noqa: E402
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 #: A full run fails when the geometric-mean speedup drops more than this
 #: fraction below the previous tracked ``BENCH_<n>.json``.
@@ -530,157 +534,6 @@ def run_backend_bench(*, quick: bool = False) -> dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# simplify scenario: per-technique attribution of the simplification engine
-# ---------------------------------------------------------------------------
-#: (name, workload, budget, single_move, max_steps, quick) cases for the
-#: simplification ablations through the incremental pebbling loop.  These
-#: gate *soundness*: ablating a technique must never change a pebbling
-#: verdict or a certified step count.  Their per-bound queries are too
-#: short for the conflict-counted inprocessing trigger, so the technique
-#: counters mostly stay at zero here — attribution comes from the direct
-#: CNF cases below, whose single long solves engage the engine for real.
-SIMPLIFY_CASES: list[tuple[str, str, int, bool, "int | None", bool]] = [
-    ("fig2_p4", "fig2", 4, False, None, True),
-    ("c17_p4", "c17", 4, False, None, True),
-    ("and9_p4_sm", "and9", 4, True, None, False),
-    ("hadamard_p5", "hadamard", 5, False, None, False),
-]
-
-#: (name, build, quick) direct-CNF cases: one uninterrupted solve each,
-#: long enough that root-level inprocessing fires.  Pigeonhole is the
-#: BVE/vivification showcase (dense symmetric clauses, conflict-analysis
-#: heavy); random 3-SAT near the phase transition exercises chronological
-#: backtracking and the rephasing lane on an unstructured formula.
-SIMPLIFY_CNF_CASES: list[tuple[str, Callable[[], Cnf], bool]] = [
-    ("php_8_7", lambda: pigeonhole(8, 7), False),
-    ("rand3sat_v130", lambda: random_3sat(130, 598, seed=13), False),
-]
-
-#: Ablation lanes: the default engine (every technique at its shipped
-#: setting) against one technique disabled at a time, plus the rephasing
-#: schedule that measured out negative on this suite (kept visible in the
-#: report precisely because it is *not* in the defaults; see
-#: EXPERIMENTS.md).
-SIMPLIFY_CONFIGS: list[tuple[str, str]] = [
-    ("full", "cdcl"),
-    ("no_bve", "cdcl:bve=0"),
-    ("no_vivify", "cdcl:vivify=0"),
-    ("no_chrono", "cdcl:chrono=0"),
-    ("rephase", "cdcl:rephase=2048"),
-]
-
-#: Technique counters folded into each simplify row.
-SIMPLIFY_COUNTERS = (
-    "eliminated_variables", "restored_variables", "bve_resolvents",
-    "vivified_clauses", "chrono_backtracks", "rephases",
-)
-
-
-def run_simplify_bench(*, quick: bool = False) -> dict[str, object]:
-    """Ablate each simplification technique and attribute its cost/benefit.
-
-    Every case runs once per config; ``simplify_ok`` requires byte-equal
-    (outcome, steps) across all of them — turning a technique off must
-    never change an answer, only the time it takes.  ``attribution`` sums
-    wall-clock per ablation and reports it relative to the full engine
-    (``vs_full`` > 1 means the disabled technique was paying for itself).
-    """
-    rows: list[dict[str, object]] = []
-    simplify_ok = True
-    totals = {label: 0.0 for label, _ in SIMPLIFY_CONFIGS}
-
-    def record(name: str, runs: dict[str, dict[str, object]], ok: bool) -> None:
-        nonlocal simplify_ok
-        simplify_ok = simplify_ok and ok
-        rows.append({"name": name, "runs": runs, "ok": ok})
-        summary = "  ".join(
-            f"{label}={run['seconds']:.3f}s" for label, run in runs.items()
-        )
-        print(f"simplify {name:14s} {summary}  {'ok' if ok else 'MISMATCH'}")
-
-    for name, workload, budget, single_move, cap, is_quick in SIMPLIFY_CASES:
-        if quick and not is_quick:
-            continue
-        dag = load_workload(workload)
-        options = EncodingOptions(max_moves_per_step=1 if single_move else None)
-        runs: dict[str, dict[str, object]] = {}
-        reference: tuple[str, object] | None = None
-        ok = True
-        for label, spec in SIMPLIFY_CONFIGS:
-            solver = ReversiblePebblingSolver(dag, options=options, backend=spec)
-            started = time.perf_counter()
-            result = solver.solve(budget, time_limit=120.0, max_steps=cap)
-            elapsed = time.perf_counter() - started
-            totals[label] += elapsed
-            counters = dict.fromkeys(SIMPLIFY_COUNTERS, 0)
-            for attempt in result.attempts:
-                for key in SIMPLIFY_COUNTERS:
-                    counters[key] += int(attempt.solver_stats.get(key, 0))
-            verdict = (result.outcome.value, result.num_steps)
-            if reference is None:
-                reference = verdict
-            elif verdict != reference:
-                ok = False
-            runs[label] = {
-                "verdict": result.outcome.value,
-                "steps": result.num_steps,
-                "seconds": round(elapsed, 3),
-                "counters": counters,
-            }
-        record(name, runs, ok)
-
-    for name, build, is_quick in SIMPLIFY_CNF_CASES:
-        if quick and not is_quick:
-            continue
-        instance = build()
-        runs = {}
-        cnf_reference: str | None = None
-        ok = True
-        for label, spec in SIMPLIFY_CONFIGS:
-            backend = create_backend(spec)
-            for clause in instance.clauses:
-                backend.add_clause(clause)
-            started = time.perf_counter()
-            result = backend.solve(time_limit=120.0)
-            elapsed = time.perf_counter() - started
-            totals[label] += elapsed
-            reported = backend.counters()
-            counters = {
-                key: int(reported.get(key) or 0) for key in SIMPLIFY_COUNTERS
-            }
-            verdict = result.status.value
-            if cnf_reference is None:
-                cnf_reference = verdict
-            elif verdict != cnf_reference:
-                ok = False
-            runs[label] = {
-                "verdict": verdict,
-                "steps": None,
-                "seconds": round(elapsed, 3),
-                "counters": counters,
-            }
-        record(name, runs, ok)
-    full_seconds = totals["full"]
-    attribution: dict[str, dict[str, object]] = {}
-    for label, _ in SIMPLIFY_CONFIGS:
-        if label == "full":
-            continue
-        attribution[label] = {
-            "seconds": round(totals[label], 3),
-            "vs_full": (
-                round(totals[label] / full_seconds, 3)
-                if full_seconds > 0 else None
-            ),
-        }
-    return {
-        "cases": rows,
-        "simplify_ok": simplify_ok,
-        "full_seconds": round(full_seconds, 3),
-        "attribution": attribution,
-    }
-
-
-# ---------------------------------------------------------------------------
 # core-guided scenario: plain vs core-guided GeometricRefine (schema v5)
 # ---------------------------------------------------------------------------
 #: (workload, budget, quick) cases for the core-guided comparison; all are
@@ -916,13 +769,8 @@ def run_chaos_bench(*, quick: bool = False) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 # profile scenario: per-phase time splits on the current engine (schema v7)
 # ---------------------------------------------------------------------------
-#: The per-phase timers maintained by :class:`CdclSolver` in profile mode
-#: (``bve`` and ``vivify`` are sub-slices of ``inprocess``).
-PROFILE_PHASES = ("propagate", "analyze", "reduce", "inprocess", "bve", "vivify")
-
-#: Phases summed for the "timed solver work" denominator — excludes the
-#: sub-slices so no second is counted twice.
-PROFILE_TOP_PHASES = ("propagate", "analyze", "reduce", "inprocess")
+#: The per-phase timers maintained by :class:`CdclSolver` in profile mode.
+PROFILE_PHASES = ("propagate", "analyze", "reduce", "inprocess")
 
 #: Per-solve counters accumulated across every SAT call of an instance.
 PROFILE_COUNTERS = (
@@ -931,8 +779,6 @@ PROFILE_COUNTERS = (
     "lbd_glue", "lbd_mid", "lbd_high", "lbd_sum",
     "subsumed_clauses", "strengthened_clauses", "root_simplified",
     "inprocessings",
-    "eliminated_variables", "restored_variables", "bve_resolvents",
-    "vivified_clauses", "chrono_backtracks", "rephases",
 )
 
 
@@ -986,7 +832,7 @@ def run_profile_bench(*, quick: bool = False) -> dict[str, object]:
         started = time.perf_counter()
         outcome = instance.run(engine)
         elapsed = time.perf_counter() - started
-        timed = sum(totals[phase] for phase in PROFILE_TOP_PHASES)
+        timed = sum(totals[phase] for phase in PROFILE_PHASES)
         phases = {
             phase: {
                 "seconds": round(totals[phase], 4),
@@ -1015,7 +861,7 @@ def run_profile_bench(*, quick: bool = False) -> dict[str, object]:
         rows.append(row)
         split = "  ".join(
             f"{phase[:4]}={phases[phase]['seconds']:7.3f}s"
-            for phase in PROFILE_TOP_PHASES
+            for phase in PROFILE_PHASES
         )
         print(f"profile {instance.name:26s} {elapsed:8.3f}s  {split}  "
               f"{row['conflicts_per_sec']:9.1f} confl/s")
@@ -1556,9 +1402,6 @@ SCENARIOS: dict[str, tuple[str, str, str]] = {
               "result store: cold vs warm-started vs cache-hit searches"),
     "backends": ("backends", "verdicts_match",
                  "verdict/step parity across cdcl, dpll and the external stub"),
-    "simplify": ("simplify", "simplify_ok",
-                 "simplification ablations: full engine vs bve/vivify/chrono "
-                 "off (verdict parity + per-technique attribution)"),
     "core_guided": ("core_guided", "core_ok",
                     "plain vs core-guided geometric-refine"),
     "chaos": ("chaos", "chaos_ok",
@@ -1678,7 +1521,6 @@ def run_benchmarks(
             "compile": lambda: run_compile_bench(quick=quick),
             "cache": lambda: run_cache_bench(quick=quick),
             "backends": lambda: run_backend_bench(quick=quick),
-            "simplify": lambda: run_simplify_bench(quick=quick),
             "core_guided": lambda: run_core_guided_bench(quick=quick),
             "chaos": lambda: run_chaos_bench(quick=quick),
             "profile": lambda: run_profile_bench(quick=quick),

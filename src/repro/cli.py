@@ -420,9 +420,7 @@ def _format_stats_line(attempts) -> str:
         "blocker_hits", "heap_decisions", "deadline_checks_skipped",
         "lbd_glue", "lbd_mid", "lbd_high", "lbd_sum",
         "subsumed_clauses", "strengthened_clauses", "root_simplified",
-        "inprocessings", "eliminated_variables", "restored_variables",
-        "bve_resolvents", "vivified_clauses", "chrono_backtracks",
-        "rephases",
+        "inprocessings",
     ]
     parts = [f"{key}={int(totals[key])}" for key in ordered if key in totals]
     parts.extend(

@@ -171,7 +171,6 @@ class PebblingEncoder:
         self._guards: dict[int, int] = {}
         self._num_steps = 0
         self._drained = 0
-        self._new_named: list[int] = []
         if max_pebbles is not None:
             self._start(max_pebbles)
 
@@ -216,7 +215,6 @@ class PebblingEncoder:
         for node in self._nodes:
             variable = cnf.new_variable(f"p[{node},{step}]")
             self._variables[(node, step)] = variable
-            self._new_named.append(variable)
         variables = [self._variables[(node, step)] for node in self._nodes]
         if self.options.weighted:
             weights = [self._weights[node] for node in self._nodes]
@@ -307,7 +305,6 @@ class PebblingEncoder:
         guard = self._guards.get(step)
         if guard is None:
             guard = cnf.new_variable(f"final[{step}]")
-            self._new_named.append(guard)
             for node in self._nodes:
                 literal = self._variables[(node, step)]
                 cnf.add_clause(
@@ -328,18 +325,14 @@ class PebblingEncoder:
             cnf.add_unit(literal if node in self._outputs else -literal)
 
     def drain_new_named_variables(self) -> list[int]:
-        """Return the pebble/guard variables created since the last drain.
+        """Return ``[]``: no backend eliminates variables, so none needs
+        the pebble/guard variables reported for freezing.
 
-        These are exactly the variables that future frames and assumption
-        ladders will mention again; incremental backends with root-level
-        variable elimination freeze them so simplification never touches a
-        variable the next bound still needs.  Auxiliary variables (move
-        flags, cardinality ladders) are deliberately *not* reported — they
-        are internal to their frame and safe to eliminate.
+        Nothing in the search loops calls this; it stays only because the
+        per-layer tracer in ``perfbench/tracer.py`` wraps it by name.
+        Remove both together.
         """
-        fresh = self._new_named
-        self._new_named = []
-        return fresh
+        return []
 
     def drain_new_clauses(self) -> list:
         """Return the clauses emitted since the last drain (for flushing)."""

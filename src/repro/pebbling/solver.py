@@ -904,22 +904,6 @@ class ReversiblePebblingSolver:
             solver.add_cnf(
                 Cnf(pool=encoder.cnf.pool, clauses=encoder.drain_new_clauses())
             )
-            # Pebble and guard variables are re-mentioned by every later
-            # frame and assumption ladder; backends with root-level variable
-            # elimination must never eliminate them.  The loop deliberately
-            # does NOT call solver.simplify() between bounds: explicit
-            # inter-bound passes measured a net slowdown on this suite —
-            # BVE trades the encoder's short structured clauses for fatter
-            # resolvents over the (frozen) pebble variables, and the
-            # per-bound queries are too short to amortise the swap (see
-            # EXPERIMENTS.md, schema v10).  The solver's own
-            # conflict-counted inprocessing trigger still fires on long
-            # queries, which is why the freeze discipline matters here.
-            freeze = getattr(solver, "freeze", None)
-            if freeze is not None:
-                fresh_variables = encoder.drain_new_named_variables()
-                if fresh_variables:
-                    freeze(fresh_variables)
             call_started = time.monotonic()
             # With a shared board or a cancellation token, long queries run
             # in growing time slices so the lane reacts mid-call: a slice

@@ -4,10 +4,10 @@
  * IncrementalSatBackend surface the pebbling search needs: incremental
  * clause addition, per-call assumptions with conflict-analysis cores,
  * conflict/time budgets, and the usual counters.  It trades the Python
- * engine's inprocessing machinery (BVE, vivification, LBD management)
- * for a raw propagate loop: two watched literals with blockers, VSIDS,
- * phase saving, Luby restarts, first-UIP learning and activity-ranked
- * clause-database reduction.
+ * engine's root-level inprocessing (subsumption, self-subsumption) and
+ * LBD management for a raw propagate loop: two watched literals with
+ * blockers, VSIDS, phase saving, Luby restarts, first-UIP learning and
+ * activity-ranked clause-database reduction.
  *
  * Literals cross the ABI in DIMACS convention (nonzero int32, sign =
  * polarity); internally they are encoded as 2*var + (negative ? 1 : 0)

@@ -12,7 +12,7 @@ CLI) can carry a backend across process boundaries as plain data:
     The native :class:`~repro.sat.solver.CdclSolver` — the production
     engine, with real conflict-analysis assumption cores.  The optional
     argument tunes the search without code changes
-    (``cdcl:restart_base=200,var_decay=0.95,seed=7``); see
+    (``cdcl:restart_base=200,var_decay=0.95,glue_max=3``); see
     :class:`CdclSpec` for the accepted keys.
 
 ``"dpll"``
@@ -741,7 +741,11 @@ class CdclSpec:
     The spec argument is a comma-separated list of ``key=value`` pairs
     mapping onto :class:`~repro.sat.solver.CdclSolver` constructor knobs,
     so bench lanes and ``--race-backends`` can tune the engine from the
-    command line: ``cdcl:restart_base=200,var_decay=0.95,seed=7``.
+    command line: ``cdcl:restart_base=200,var_decay=0.95,glue_max=3``.
+    The native core (``native=1``) only honours ``restart_base`` and
+    ``seed``; any other key next to it is rejected instead of being
+    ignored, and ``seed`` without ``native=1`` is rejected too, since the
+    Python engine has no randomised step to seed.
     """
 
     #: Luby restart unit (conflicts before the first restart).
@@ -750,7 +754,7 @@ class CdclSpec:
     var_decay: float = 0.95
     #: Learned-clause activity decay, in (0, 1].
     clause_decay: float = 0.999
-    #: Seed of the solver's deterministic tie-breaking RNG.
+    #: Seed of the native core's tie-breaking RNG (``native=1`` only).
     seed: int = 2019
     #: Minimum learned-clause count before a reduction may run.
     reduce_min_learned: int = 50
@@ -760,26 +764,17 @@ class CdclSpec:
     glue_max: int = 2
     #: Conflicts between root-level inprocessing passes (0 disables).
     inprocess_interval: int = 3000
-    #: Bounded variable elimination during inprocessing (0/1).
-    bve: bool = True
-    #: Extra resolvents an elimination may add beyond removed clauses.
-    bve_grow: int = 0
-    #: Clause vivification during inprocessing (0/1).
-    vivify: bool = True
-    #: Chronological-backtracking jump-distance threshold (0 disables).
-    chrono: int = 100
-    #: Base conflict interval of the rephasing schedule (0 disables).
-    rephase: int = 0
     #: Route to the ctypes-loaded native CDCL core (0/1).
     native: bool = False
     #: Record per-phase time splits in ``stats.phase_times``.
     profile: bool = False
 
     _INT_KEYS = ("restart_base", "seed", "reduce_min_learned",
-                 "learned_limit_base", "glue_max", "inprocess_interval",
-                 "bve_grow", "chrono", "rephase")
+                 "learned_limit_base", "glue_max", "inprocess_interval")
     _FLOAT_KEYS = ("var_decay", "clause_decay")
-    _BOOL_KEYS = ("bve", "vivify", "native", "profile")
+    _BOOL_KEYS = ("native", "profile")
+    #: The only tuning keys the native core honours.
+    _NATIVE_KEYS = ("restart_base", "seed")
 
     @classmethod
     def parse(cls, argument: str | None) -> "CdclSpec":
@@ -807,8 +802,7 @@ class CdclSpec:
                 if key == "restart_base" and parsed < 1:
                     raise SolverError(f"cdcl: restart_base must be >= 1, got {parsed}")
                 if key in ("reduce_min_learned", "learned_limit_base",
-                           "glue_max", "inprocess_interval", "bve_grow",
-                           "chrono", "rephase") and parsed < 0:
+                           "glue_max", "inprocess_interval") and parsed < 0:
                     raise SolverError(f"cdcl: {key} must be >= 0, got {parsed}")
                 values[key] = parsed
             elif key in cls._FLOAT_KEYS:
@@ -830,6 +824,19 @@ class CdclSpec:
                     f"cdcl: unknown key {key!r}; valid keys: "
                     f"{', '.join(cls._INT_KEYS + cls._FLOAT_KEYS + cls._BOOL_KEYS)}"
                 )
+        if values.get("native"):
+            ignored = [key for key in values
+                       if key != "native" and key not in cls._NATIVE_KEYS]
+            if ignored:
+                raise SolverError(
+                    f"cdcl: native=1 only takes {', '.join(cls._NATIVE_KEYS)}; "
+                    f"got {', '.join(ignored)}"
+                )
+        elif "seed" in values:
+            raise SolverError(
+                "cdcl: seed only applies with native=1; the Python engine "
+                "has no randomised step"
+            )
         return cls(**values)  # type: ignore[arg-type]
 
     def render(self) -> str:
@@ -862,16 +869,10 @@ class CdclSpec:
             restart_base=self.restart_base,
             variable_decay=self.var_decay,
             clause_decay=self.clause_decay,
-            random_seed=self.seed,
             reduce_min_learned=self.reduce_min_learned,
             learned_limit_base=self.learned_limit_base,
             glue_max=self.glue_max,
             inprocess_interval=self.inprocess_interval,
-            bve=self.bve,
-            bve_grow=self.bve_grow,
-            vivify=self.vivify,
-            chrono=self.chrono,
-            rephase=self.rephase,
             profile=self.profile,
         )
 

@@ -148,9 +148,9 @@ class NativeCdclSolver:
 
     Selected with ``cdcl:native=1``.  Supports incremental clause
     addition, assumptions with conflict-analysis cores, and conflict/time
-    budgets; it does not implement the Python engine's inprocessing
-    (``freeze`` is intentionally absent — the pebbling layer probes for
-    it with ``getattr``).
+    budgets; it does not implement the Python engine's root-level
+    inprocessing (subsumption and self-subsumption) or LBD-ranked
+    clause reduction.
     """
 
     def __init__(

@@ -17,19 +17,6 @@ The solver implements the standard modern architecture:
 * root-level inprocessing between restarts: bounded subsumption and
   self-subsumption over problem and learned clauses, occurrence-list
   based and deadline-bounded,
-* bounded variable elimination (SatELite-style) at the root: a variable
-  whose resolvent count does not outgrow its occurrence count is
-  resolved away; the removed clauses go on an elimination stack used
-  for model reconstruction, and any later mention of an eliminated
-  variable (new clause or assumption) restores it transparently,
-* clause vivification at the root: unit-propagation probing that
-  shortens or removes irredundant and low-LBD learned clauses,
-* chronological backtracking: conflicts whose assertion level is far
-  below the conflict level backtrack a single level instead (the
-  learned clause is still asserting there),
-* rephasing schedules: the saved phases are periodically reset to the
-  best-trail snapshot, inverted, original, or random targets on a
-  geometrically growing conflict cadence,
 * incremental solving under assumptions,
 * conflict and time budgets so callers can implement timeouts
   (the paper stops each pebbling instance after a wall-clock budget);
@@ -104,9 +91,8 @@ class SolverStats:
     counts 3..6, ``lbd_high`` counts >= 7, and ``lbd_sum`` accumulates the
     raw values so callers can derive the mean.  ``phase_times`` is only
     populated when the solver was constructed with ``profile=True``; it
-    maps phase names (``propagate``/``analyze``/``reduce``/``inprocess``/
-    ``bve``/``vivify``) to seconds spent in that phase during the last
-    solve call (``bve`` and ``vivify`` are sub-slices of ``inprocess``).
+    maps phase names (``propagate``/``analyze``/``reduce``/``inprocess``)
+    to seconds spent in that phase during the last solve call.
     """
 
     decisions: int = 0
@@ -128,12 +114,6 @@ class SolverStats:
     strengthened_clauses: int = 0
     root_simplified: int = 0
     inprocessings: int = 0
-    eliminated_variables: int = 0
-    restored_variables: int = 0
-    bve_resolvents: int = 0
-    vivified_clauses: int = 0
-    chrono_backtracks: int = 0
-    rephases: int = 0
     phase_times: dict[str, float] | None = None
 
     def as_dict(self) -> dict[str, float]:
@@ -162,12 +142,6 @@ class SolverStats:
             "strengthened_clauses": self.strengthened_clauses,
             "root_simplified": self.root_simplified,
             "inprocessings": self.inprocessings,
-            "eliminated_variables": self.eliminated_variables,
-            "restored_variables": self.restored_variables,
-            "bve_resolvents": self.bve_resolvents,
-            "vivified_clauses": self.vivified_clauses,
-            "chrono_backtracks": self.chrono_backtracks,
-            "rephases": self.rephases,
         }
         if self.phase_times is not None:
             for phase_name, seconds in self.phase_times.items():
@@ -215,20 +189,6 @@ _INITIAL_VAR_CAPACITY = 64
 
 #: Wall-clock budget of a single inprocessing pass (seconds).
 _INPROCESS_BUDGET = 0.3
-
-#: A variable is a BVE candidate only when neither polarity occurs in
-#: more than this many clauses (keeps the resolvent products small).
-_BVE_OCC_LIMIT = 16
-
-#: Variables whose elimination would create a resolvent longer than
-#: this are skipped.
-_BVE_CLAUSE_LIMIT = 24
-
-#: Learned clauses with LBD above this are not worth vivifying.
-_VIVIFY_LBD_LIMIT = 6
-
-#: Rephasing mode cycle; ``best`` resets to the deepest-trail snapshot.
-_REPHASE_CYCLE = ("best", "invert", "best", "random", "best", "original")
 
 
 def _encode(literal: int) -> int:
@@ -282,29 +242,8 @@ class CdclSolver:
     forever, ``inprocess_interval`` is the number of conflicts between
     root-level simplification passes (0 disables inprocessing), and
     ``profile=True`` records per-phase wall-clock splits in
-    ``stats.phase_times``.
-
-    The simplification/search knobs added by the round-three work:
-
-    ``bve``
-        enables bounded variable elimination during inprocessing.
-        Eliminated variables are restored transparently when a later
-        clause or assumption mentions them; :meth:`freeze` exempts
-        named variables (the pebbling layer freezes its state and guard
-        variables).  ``bve_grow`` is the number of extra resolvents an
-        elimination may add beyond the clauses it removes.
-    ``vivify``
-        enables root-level clause vivification during inprocessing.
-    ``chrono``
-        jump-distance threshold for chronological backtracking: a
-        conflict whose assertion level is more than ``chrono`` levels
-        below the conflict level backtracks a single level instead.
-        ``0`` disables.
-    ``rephase``
-        base conflict interval of the rephasing schedule (``0``
-        disables): every interval the saved phases are reset to the
-        best-trail snapshot / inverted / original / random targets, and
-        the interval grows geometrically.
+    ``stats.phase_times``.  The search has no randomised step, so it
+    takes no seed.
     """
 
     #: Registry name under :mod:`repro.sat.backend` (the native backend).
@@ -319,16 +258,10 @@ class CdclSolver:
         restart_base: int = 100,
         clause_decay: float = 0.999,
         variable_decay: float = 0.95,
-        random_seed: int = 2019,
         reduce_min_learned: int = 50,
         learned_limit_base: int = 1000,
         glue_max: int = 2,
         inprocess_interval: int = 3000,
-        bve: bool = True,
-        bve_grow: int = 0,
-        vivify: bool = True,
-        chrono: int = 100,
-        rephase: int = 0,
         profile: bool = False,
     ) -> None:
         capacity = _INITIAL_VAR_CAPACITY
@@ -391,35 +324,12 @@ class CdclSolver:
         self._inprocess_interval = inprocess_interval
         self._total_conflicts = 0
         self._last_inprocess_conflicts = 0
-        self._bve = bve
-        self._bve_grow = bve_grow
-        self._vivify = vivify
-        self._chrono = chrono
-        # Bounded variable elimination state: ``_eliminated`` marks
-        # variables currently resolved away, ``_frozen`` marks variables
-        # exempt from elimination, and ``_elim_stack`` records, per
-        # eliminated variable, the removed irredundant clauses split by
-        # polarity (encoded literals) — the substrate of both model
-        # reconstruction and restore-on-mention.
-        self._eliminated = bytearray(capacity)
-        self._frozen = bytearray(capacity)
-        self._elim_stack: list[tuple[int, list[list[int]], list[list[int]]]] = []
-        self._current_assumption_vars: frozenset[int] | set[int] = frozenset()
-        # Rephasing state: the saved-phase snapshot of the deepest trail
-        # seen since the last rephase, and the geometric schedule.
-        self._rephase_base = rephase
-        self._rephase_interval = rephase
-        self._rephase_next = rephase
-        self._rephase_count = 0
-        self._best_trail = 0
-        self._best_phase: list[int] = [0] * capacity
         self._profile = profile
         self._ok = True
         self._pending_units: list[int] = []
         self.default_conflict_limit = conflict_limit
         self.default_time_limit = time_limit
         self.stats = SolverStats()
-        self._rng_state = random_seed or 1
         self._failed_assumptions: list[int] | None = None
         if cnf is not None:
             self.add_cnf(cnf)
@@ -455,9 +365,6 @@ class CdclSolver:
         self._activity.extend([0.0] * grow)
         self._phase.extend([0] * grow)
         self._seen.extend(bytes(grow))
-        self._eliminated.extend(bytes(grow))
-        self._frozen.extend(bytes(grow))
-        self._best_phase.extend([0] * grow)
         self._heap_pos.extend((-1,) * grow)
         self._trail.extend((0,) * grow)
         self._watches.extend([] for _ in range(2 * grow))
@@ -515,17 +422,6 @@ class CdclSolver:
             self._ensure_var(max_var)
         if tautology:
             return True
-        if self._elim_stack:
-            # Restore-on-mention: a clause over an eliminated variable
-            # invalidates its elimination, so the variable (and everything
-            # eliminated after it) is put back before the clause lands.
-            eliminated = self._eliminated
-            for literal in clause:
-                variable = -literal if literal < 0 else literal
-                if eliminated[variable]:
-                    self._restore_variable(variable)
-            if not self._ok:
-                return False
         # Root-level simplification: literals already false at decision
         # level 0 can never become true again, so they are dropped; a
         # literal true at level 0 satisfies the clause forever.  Without
@@ -802,27 +698,11 @@ class CdclSolver:
             self._heap_down(0)
         return top
 
-    def _heap_remove(self, variable: int) -> None:
-        """Remove ``variable`` from the heap (used by variable elimination)."""
-        index = self._heap_pos[variable]
-        if index < 0:
-            return
-        heap = self._heap
-        self._heap_pos[variable] = -1
-        last = heap.pop()
-        if index < len(heap):
-            heap[index] = last
-            self._heap_pos[last] = index
-            self._heap_down(index)
-            if self._heap_pos[last] == index:
-                self._heap_up(index)
-
     # The heap is maintained incrementally — every unassigned variable is
     # always enqueued: ``_ensure_var`` inserts fresh variables, decisions
     # pop variables, and ``_backtrack`` lazily re-inserts whatever it
     # unassigns.  Variables assigned by propagation may linger in the heap;
-    # ``_pick_branch_variable`` skips them when popped.  Eliminated
-    # variables are removed outright and re-inserted on restore.
+    # ``_pick_branch_variable`` skips them when popped.
 
     # ------------------------------------------------------------------
     # conflict analysis
@@ -1026,15 +906,6 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # decision heuristics
     # ------------------------------------------------------------------
-    def _random(self) -> float:
-        # xorshift32: deterministic, cheap, good enough for tie-breaking.
-        state = self._rng_state
-        state ^= (state << 13) & 0xFFFFFFFF
-        state ^= state >> 17
-        state ^= (state << 5) & 0xFFFFFFFF
-        self._rng_state = state & 0xFFFFFFFF
-        return self._rng_state / 0xFFFFFFFF
-
     def _pick_branch_variable(self) -> int:
         """Pop unassigned variables with the highest activity off the heap."""
         lit_values = self._lit_values
@@ -1348,27 +1219,6 @@ class CdclSolver:
                         for other in remaining:
                             signature |= 1 << (other & 63)
                         sigs[d_slot] = signature
-        # Phase 4/5: bounded variable elimination, then vivification.
-        # Both share the pass deadline; their profile times are sub-slices
-        # of the enclosing ``inprocess`` phase.
-        phase_times = stats.phase_times
-        perf = time.perf_counter
-        if self._bve:
-            mark = perf() if phase_times is not None else 0.0
-            bve_ok = self._bve_pass(deadline)
-            if phase_times is not None:
-                phase_times["bve"] += perf() - mark
-            if not bve_ok:
-                self._rebuild_learned_slots()
-                return False
-        if self._vivify:
-            mark = perf() if phase_times is not None else 0.0
-            vivify_ok = self._vivify_pass(deadline)
-            if phase_times is not None:
-                phase_times["vivify"] += perf() - mark
-            if not vivify_ok:
-                self._rebuild_learned_slots()
-                return False
         self._rebuild_learned_slots()
         stats.inprocessings += 1
         if _trace.active():
@@ -1378,363 +1228,7 @@ class CdclSolver:
                 subsumed=stats.subsumed_clauses,
                 strengthened=stats.strengthened_clauses,
                 root_simplified=stats.root_simplified,
-                eliminated=stats.eliminated_variables,
-                vivified=stats.vivified_clauses,
             )
-        return True
-
-    # ------------------------------------------------------------------
-    # bounded variable elimination
-    # ------------------------------------------------------------------
-    def freeze(self, variables: Iterable[int]) -> None:
-        """Exempt ``variables`` from elimination, restoring them if needed.
-
-        The pebbling layer freezes every named state variable and every
-        assumption guard; anything else (cardinality ladders, move
-        auxiliaries) remains fair game for BVE.  Accepts variables or
-        literals (the sign is ignored).
-        """
-        for literal in variables:
-            variable = -literal if literal < 0 else literal
-            if variable == 0:
-                raise SolverError("cannot freeze variable 0")
-            self._ensure_var(variable)
-            self._frozen[variable] = 1
-            if self._eliminated[variable]:
-                self._restore_variable(variable)
-
-    def _restore_variable(self, variable: int) -> None:
-        """Undo eliminations until ``variable`` is live again.
-
-        Entries are popped off the elimination stack in reverse order;
-        a stored clause only ever references variables eliminated later
-        (already restored by the time it is re-attached) or never, so
-        suffix-popping re-creates an equivalent formula.
-        """
-        stack = self._elim_stack
-        eliminated = self._eliminated
-        while stack and eliminated[variable]:
-            entry_var, pos_clauses, neg_clauses = stack.pop()
-            eliminated[entry_var] = 0
-            self._heap_insert(entry_var)
-            self.stats.restored_variables += 1
-            for encoded_clause in pos_clauses:
-                self._reattach_stored(encoded_clause)
-            for encoded_clause in neg_clauses:
-                self._reattach_stored(encoded_clause)
-
-    def _reattach_stored(self, encoded_clause: list[int]) -> None:
-        """Re-add a stored clause, simplifying against current root facts."""
-        lit_values = self._lit_values
-        levels = self._levels
-        kept: list[int] = []
-        for enc in encoded_clause:
-            value = lit_values[enc]
-            if value >= 0 and levels[enc >> 1] == 0:
-                if value == 1:
-                    return  # satisfied at the root level
-                continue
-            kept.append(enc)
-        if not kept:
-            self._ok = False
-            return
-        if len(kept) == 1:
-            if not self._enqueue(kept[0]):
-                self._ok = False
-            return
-        self._attach(kept, learned=False)
-
-    def _bve_pass(self, deadline: float | None) -> bool:
-        """Bounded variable elimination at decision level 0.
-
-        A variable is eliminated when the set of non-tautological
-        resolvents of its irredundant occurrences is no larger than the
-        clauses removed (plus ``bve_grow``).  Learned clauses over the
-        variable are deleted outright — they stay implied by the
-        remaining formula, but resolving them would bloat the output.
-        Frozen variables, current assumptions and root-assigned
-        variables are never touched.  Returns ``False`` on UNSAT.
-        """
-        arena = self._arena
-        lit_values = self._lit_values
-        learned_flag = self._learned_flag
-        eliminated = self._eliminated
-        frozen = self._frozen
-        assumption_vars = self._current_assumption_vars
-        stats = self.stats
-        occur: dict[int, list[int]] = {}
-        for slot in range(len(arena)):
-            clause = arena[slot]
-            if clause is None:
-                continue
-            for lit in clause:
-                occur.setdefault(lit, []).append(slot)
-        candidates: list[tuple[int, int]] = []
-        for variable in range(1, self._num_vars + 1):
-            if eliminated[variable] or frozen[variable]:
-                continue
-            if variable in assumption_vars:
-                continue
-            if lit_values[variable << 1] != _UNASSIGNED:
-                continue
-            num_pos = len(occur.get(variable << 1, ()))
-            num_neg = len(occur.get((variable << 1) | 1, ()))
-            if num_pos + num_neg == 0:
-                continue
-            if num_pos > _BVE_OCC_LIMIT or num_neg > _BVE_OCC_LIMIT:
-                continue
-            candidates.append((num_pos * num_neg, variable))
-        candidates.sort()
-        monotonic = time.monotonic
-        units: list[int] = []
-        for processed, (_, variable) in enumerate(candidates):
-            if deadline is not None and processed % 8 == 7 and monotonic() > deadline:
-                break
-            if lit_values[variable << 1] != _UNASSIGNED:
-                continue
-            plit = variable << 1
-            nlit = plit | 1
-            # Occurrence lists go stale as eliminations delete clauses and
-            # attach resolvents into recycled slots, so membership is
-            # re-checked against the arena; a recycled slot can appear
-            # twice in a list (old clause and resolvent sharing a
-            # literal), hence the order-preserving dedup.
-            pos_slots = [
-                slot
-                for slot in dict.fromkeys(occur.get(plit, ()))
-                if arena[slot] is not None and plit in arena[slot]
-            ]
-            neg_slots = [
-                slot
-                for slot in dict.fromkeys(occur.get(nlit, ()))
-                if arena[slot] is not None and nlit in arena[slot]
-            ]
-            pos_irr = [slot for slot in pos_slots if not learned_flag[slot]]
-            neg_irr = [slot for slot in neg_slots if not learned_flag[slot]]
-            limit = len(pos_irr) + len(neg_irr) + self._bve_grow
-            resolvents: list[list[int]] = []
-            too_many = False
-            for p_slot in pos_irr:
-                p_clause = arena[p_slot]
-                assert p_clause is not None
-                p_rest = [lit for lit in p_clause if lit != plit]
-                for n_slot in neg_irr:
-                    n_clause = arena[n_slot]
-                    assert n_clause is not None
-                    resolved = list(p_rest)
-                    merged = set(p_rest)
-                    tautology = False
-                    for lit in n_clause:
-                        if lit == nlit:
-                            continue
-                        if lit ^ 1 in merged:
-                            tautology = True
-                            break
-                        if lit not in merged:
-                            merged.add(lit)
-                            resolved.append(lit)
-                    if tautology:
-                        continue
-                    if len(resolved) > _BVE_CLAUSE_LIMIT:
-                        too_many = True
-                        break
-                    resolvents.append(resolved)
-                    if len(resolvents) > limit:
-                        too_many = True
-                        break
-                if too_many:
-                    break
-            if too_many:
-                continue
-            # Commit: store the irredundant originals, drop everything
-            # mentioning the variable, attach the resolvents.
-            stored_pos = [list(arena[slot]) for slot in pos_irr]  # type: ignore[arg-type]
-            stored_neg = [list(arena[slot]) for slot in neg_irr]  # type: ignore[arg-type]
-            for slot in pos_slots:
-                self._detach(slot)
-                self._free_slot(slot)
-            for slot in neg_slots:
-                self._detach(slot)
-                self._free_slot(slot)
-            eliminated[variable] = 1
-            self._heap_remove(variable)
-            self._elim_stack.append((variable, stored_pos, stored_neg))
-            stats.eliminated_variables += 1
-            for resolved in resolvents:
-                kept: list[int] = []
-                satisfied = False
-                for lit in resolved:
-                    value = lit_values[lit]
-                    if value == 1:
-                        satisfied = True
-                        break
-                    if value == 0:
-                        continue
-                    kept.append(lit)
-                if satisfied:
-                    continue
-                if not kept:
-                    self._ok = False
-                    return False
-                if len(kept) == 1:
-                    if not self._enqueue(kept[0]):
-                        self._ok = False
-                        return False
-                    units.append(kept[0])
-                    continue
-                slot = self._attach(kept, learned=False)
-                for lit in kept:
-                    occur.setdefault(lit, []).append(slot)
-                stats.bve_resolvents += 1
-        if units and self._propagate() != _NO_CONFLICT:
-            self._ok = False
-            return False
-        return True
-
-    # ------------------------------------------------------------------
-    # clause vivification
-    # ------------------------------------------------------------------
-    def _vivify_pass(self, deadline: float | None) -> bool:
-        """Unit-propagation probing that shortens clauses at the root.
-
-        For each candidate clause (irredundant, or learned with LBD <=
-        ``_VIVIFY_LBD_LIMIT``), the clause is detached and the negations
-        of its literals are asserted one decision level at a time:
-
-        * a conflict proves the assumed prefix plus the current literal
-          already forms a clause — the rest is dropped;
-        * a literal implied true closes the clause the same way;
-        * a literal implied false is redundant and removed.
-
-        The probe uses every clause in the database (learned included),
-        which is sound even for strengthening irredundant clauses: the
-        shortened clause is implied by the formula, and the original is
-        subsumed by it.  Returns ``False`` on UNSAT.
-        """
-        arena = self._arena
-        lit_values = self._lit_values
-        learned_flag = self._learned_flag
-        lbd = self._lbd
-        stats = self.stats
-        candidates = [
-            slot
-            for slot in range(len(arena))
-            if arena[slot] is not None
-            and len(arena[slot]) >= 3  # type: ignore[arg-type]
-            and (not learned_flag[slot] or lbd[slot] <= _VIVIFY_LBD_LIMIT)
-        ]
-        monotonic = time.monotonic
-        for processed, slot in enumerate(candidates):
-            if deadline is not None and processed % 4 == 3 and monotonic() > deadline:
-                break
-            clause = arena[slot]
-            if clause is None or len(clause) < 3:
-                continue
-            lits = list(clause)
-            self._detach(slot)
-            assumed: list[int] = []
-            new_lits: list[int] | None = None
-            satisfied_root = False
-            for enc in lits:
-                value = lit_values[enc]
-                if value == 1:
-                    # Implied by the negated prefix; at an empty prefix the
-                    # clause is satisfied at the root outright.
-                    if assumed:
-                        new_lits = assumed + [enc]
-                    else:
-                        satisfied_root = True
-                    break
-                if value == 0:
-                    continue  # redundant under the prefix: drop it
-                assumed.append(enc)
-                self._trail_limits.append(self._trail_size)
-                self._enqueue(enc ^ 1)
-                if self._propagate() != _NO_CONFLICT:
-                    new_lits = list(assumed)
-                    break
-            self._backtrack(0)
-            if satisfied_root:
-                self._free_slot(slot)
-                stats.root_simplified += 1
-            else:
-                if new_lits is None:
-                    new_lits = assumed
-                if len(new_lits) >= len(lits):
-                    # Nothing learned: put the original watchers back.
-                    self._watch_clause(lits, slot)
-                else:
-                    self._watch_clause(lits, slot)
-                    if not self._shrink_clause(slot, new_lits):
-                        return False
-                    stats.vivified_clauses += 1
-            # Keep level-0 propagation complete before the next probe —
-            # a shrink may have enqueued a fresh root unit.
-            if self._propagate() != _NO_CONFLICT:
-                self._ok = False
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # rephasing
-    # ------------------------------------------------------------------
-    def _apply_rephase(self) -> None:
-        """Reset saved phases per the schedule and restart the cadence."""
-        mode = _REPHASE_CYCLE[self._rephase_count % len(_REPHASE_CYCLE)]
-        phase = self._phase
-        count = self._num_vars + 1
-        if mode == "best":
-            if self._best_trail > 0:
-                phase[1:count] = self._best_phase[1:count]
-        elif mode == "invert":
-            for variable in range(1, count):
-                phase[variable] ^= 1
-        elif mode == "original":
-            for variable in range(1, count):
-                phase[variable] = 0
-        else:  # random
-            random = self._random
-            for variable in range(1, count):
-                phase[variable] = 1 if random() < 0.5 else 0
-        self._rephase_count += 1
-        self._rephase_interval = int(self._rephase_interval * 1.5) + 1
-        self._rephase_next = self._total_conflicts + self._rephase_interval
-        self._best_trail = 0
-        self.stats.rephases += 1
-        if _trace.active():
-            _trace.event(
-                "solver.rephase",
-                mode=mode,
-                count=self._rephase_count,
-                next_interval=self._rephase_interval,
-                conflicts=self._total_conflicts,
-            )
-
-    # ------------------------------------------------------------------
-    # explicit simplification entry point
-    # ------------------------------------------------------------------
-    def simplify(self, budget: float = _INPROCESS_BUDGET) -> bool:
-        """Run one root-level inprocessing pass immediately.
-
-        Equivalent to what :meth:`solve` triggers every
-        ``inprocess_interval`` conflicts, minus the conflict counting.
-        Returns ``False`` when the pass proved the formula UNSAT.
-        """
-        if not self._ok:
-            return False
-        self._backtrack(0)
-        for literal in self._pending_units:
-            if not self._enqueue(_encode(literal)):
-                self._ok = False
-                return False
-        self._pending_units.clear()
-        if self._propagate() != _NO_CONFLICT:
-            self._ok = False
-            return False
-        self._current_assumption_vars = frozenset()
-        if not self._inprocess(time.monotonic() + budget):
-            self._ok = False
-            return False
         return True
 
     # ------------------------------------------------------------------
@@ -1813,8 +1307,6 @@ class CdclSolver:
                 "analyze": 0.0,
                 "reduce": 0.0,
                 "inprocess": 0.0,
-                "bve": 0.0,
-                "vivify": 0.0,
             }
             stats.phase_times = phase_times
         perf = time.perf_counter
@@ -1830,21 +1322,6 @@ class CdclSolver:
         # Start from a clean assignment (incremental interface keeps
         # clauses, not the trail).
         self._backtrack(0)
-        if self._elim_stack:
-            # Assumptions over eliminated variables void their
-            # eliminations (restore-on-mention keeps cores sound).
-            eliminated = self._eliminated
-            for literal in assumptions:
-                variable = -literal if literal < 0 else literal
-                if variable <= self._num_vars and eliminated[variable]:
-                    self._restore_variable(variable)
-            if not self._ok:
-                self._failed_assumptions = []
-                stats.solve_time = time.monotonic() - start_time
-                return SolveResult(Status.UNSATISFIABLE, None, stats)
-        self._current_assumption_vars = {
-            -literal if literal < 0 else literal for literal in assumptions
-        }
         for literal in self._pending_units:
             if not self._enqueue(_encode(literal)):
                 self._ok = False
@@ -1917,20 +1394,7 @@ class CdclSolver:
                     phase_times["analyze"] += perf() - mark
                 else:
                     learned, backjump_level, lbd_value = self._analyze(conflict_slot)
-                current_level = len(self._trail_limits)
-                if (
-                    self._chrono > 0
-                    and len(learned) > 1
-                    and current_level - backjump_level > self._chrono
-                ):
-                    # Chronological backtracking: undo only the conflicting
-                    # level.  Every non-asserting literal of the learned
-                    # clause lives at a level <= backjump_level, so the
-                    # clause is still unit at ``current_level - 1``.
-                    stats.chrono_backtracks += 1
-                    self._backtrack(current_level - 1)
-                else:
-                    self._backtrack(backjump_level)
+                self._backtrack(backjump_level)
                 stats.lbd_sum += lbd_value
                 if lbd_value <= 2:
                     stats.lbd_glue += 1
@@ -1962,20 +1426,12 @@ class CdclSolver:
                     self._learned_limit = int(self._learned_limit * 1.3) + 1
                 continue
 
-            if self._rephase_base > 0 and self._trail_size > self._best_trail:
-                # Deepest trail since the last rephase: snapshot the saved
-                # phases as the "best" target.
-                self._best_trail = self._trail_size
-                self._best_phase[:] = self._phase
-
             if conflicts_since_restart >= conflicts_until_restart:
                 restart_count += 1
                 stats.restarts += 1
                 conflicts_since_restart = 0
                 conflicts_until_restart = self._restart_base * luby(restart_count + 1)
                 self._backtrack(0)
-                if self._rephase_base > 0 and self._total_conflicts >= self._rephase_next:
-                    self._apply_rephase()
                 if _trace.active():
                     _trace.event(
                         "solver.restart",
@@ -2124,26 +1580,6 @@ class CdclSolver:
         for variable in range(1, self._num_vars + 1):
             value = lit_values[variable << 1]
             model[variable] = bool(value) if value != _UNASSIGNED else bool(phase[variable])
-        # Model reconstruction for eliminated variables, newest first: a
-        # stored clause only references variables eliminated later (already
-        # reconstructed) or never, and since every resolvent is satisfied,
-        # one of the two polarities must satisfy all stored clauses —
-        # default to False (every negative occurrence is happy) and flip
-        # only when a positive-occurrence clause would otherwise be unsat.
-        for variable, pos_clauses, _neg_clauses in reversed(self._elim_stack):
-            model[variable] = False
-            for clause in pos_clauses:
-                satisfied = False
-                for enc in clause:
-                    other = enc >> 1
-                    if other == variable:
-                        continue
-                    if model[other] == ((enc & 1) == 0):
-                        satisfied = True
-                        break
-                if not satisfied:
-                    model[variable] = True
-                    break
         return model
 
 

@@ -93,12 +93,12 @@ class TestCdclSpec:
         assert spec.render() == "cdcl"
 
     def test_parse_and_render_round_trip(self):
-        spec = CdclSpec.parse("restart_base=200, var_decay=0.9, seed=7")
+        spec = CdclSpec.parse("restart_base=200, var_decay=0.9, glue_max=3")
         assert spec.restart_base == 200
         assert spec.var_decay == 0.9
-        assert spec.seed == 7
+        assert spec.glue_max == 3
         rendered = spec.render()
-        assert rendered == "cdcl:restart_base=200,seed=7,var_decay=0.9"
+        assert rendered == "cdcl:restart_base=200,glue_max=3,var_decay=0.9"
         name, argument = split_backend_spec(rendered)
         assert name == "cdcl"
         assert CdclSpec.parse(argument) == spec
@@ -121,15 +121,39 @@ class TestCdclSpec:
             ("var_decay=fast", "var_decay wants a number"),
             ("seed=1,seed=2", "given twice"),
             ("bogus=3", "unknown key"),
+            # Knobs of the removed simplification engine.
+            ("bve=0", "unknown key"),
+            ("bve_grow=1", "unknown key"),
+            ("vivify=1", "unknown key"),
+            ("chrono=0", "unknown key"),
+            ("rephase=8", "unknown key"),
+            # The native core would silently ignore Python-only keys.
+            ("native=1,var_decay=0.5", "native=1 only takes"),
+            ("native=1,profile=1", "native=1 only takes"),
+            ("native=1,glue_max=9", "native=1 only takes"),
+            ("native=1,inprocess_interval=0", "native=1 only takes"),
+            # The Python engine has nothing random to seed.
+            ("seed=7", "seed only applies with native=1"),
+            ("seed=7,native=0", "seed only applies with native=1"),
         ],
     )
     def test_rejections(self, argument, message):
         with pytest.raises(SolverError, match=message):
             CdclSpec.parse(argument)
 
+    def test_native_spec_takes_its_two_keys(self):
+        spec = CdclSpec.parse("native=1,restart_base=50,seed=3")
+        assert spec.native is True
+        assert (spec.restart_base, spec.seed) == (50, 3)
+        rendered = spec.render()
+        assert rendered == "cdcl:restart_base=50,seed=3,native=1"
+        assert CdclSpec.parse(split_backend_spec(rendered)[1]) == spec
+        reason = backend_unavailable_reason("cdcl:native=1,var_decay=0.5")
+        assert reason is not None and "native=1 only takes" in reason
+
     def test_build_forwards_options(self):
         solver = CdclSpec.parse(
-            "restart_base=50,seed=11,glue_max=3,inprocess_interval=0"
+            "restart_base=50,glue_max=3,inprocess_interval=0"
         ).build(conflict_limit=9)
         assert isinstance(solver, CdclSolver)
         assert solver._restart_base == 50

@@ -18,7 +18,7 @@ tests audit the invariants directly:
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.sat.dpll import DpllSolver
 from repro.sat.instances import pigeonhole
@@ -201,13 +201,11 @@ def test_profile_mode_records_phase_times():
     assert not solver.solve().is_sat
     phase_times = solver.stats.phase_times
     assert phase_times is not None
-    assert set(phase_times) == {
-        "propagate", "analyze", "reduce", "inprocess", "bve", "vivify"
-    }
+    assert set(phase_times) == {"propagate", "analyze", "reduce", "inprocess"}
     assert all(value >= 0.0 for value in phase_times.values())
     counters = solver.stats.as_dict()
     for key in ("time_propagate", "time_analyze", "time_reduce",
-                "time_inprocess", "time_bve", "time_vivify"):
+                "time_inprocess"):
         assert key in counters
     assert counters["time_propagate"] > 0.0
 
@@ -226,3 +224,114 @@ def test_lbd_histogram_counts_learned_clauses():
     assert stats.lbd_sum >= total  # every learned clause has LBD >= 1
     assert "lbd_glue" in stats.as_dict()
     assert "phase_times" not in stats.as_dict()
+
+
+def _satisfies(model: dict[int, bool], clauses: list[list[int]]) -> bool:
+    return all(
+        any(model.get(abs(lit), False) == (lit > 0) for lit in clause)
+        for clause in clauses
+    )
+
+
+def _live_clauses(solver: CdclSolver) -> list[list[int]]:
+    return sorted(sorted(clause) for clause in solver._arena if clause is not None)
+
+
+def _encoded(clause: list[int]) -> list[int]:
+    """The internal literal encoding of ``clause`` in a fresh solver."""
+    probe = CdclSolver()
+    probe.add_clause(clause)
+    return sorted(probe._arena[0])
+
+
+def _inprocess_before_search(solver: CdclSolver) -> None:
+    """Run one inprocessing pass now, as the conflict trigger would between
+    restarts, so every example exercises it however few conflicts follow."""
+    if not solver._ok:
+        return
+    if not solver._inprocess(None):
+        assert not solver._ok
+    assert solver.stats.inprocessings == 1 or not solver._ok
+    stats = solver.stats
+    event(f"clauses rewritten: {stats.subsumed_clauses + stats.strengthened_clauses > 0}")
+
+
+def test_inprocessing_deletes_a_subsumed_clause():
+    solver = CdclSolver()
+    for clause in ([1, 2], [1, 2, 3], [3, 4]):
+        solver.add_clause(clause)
+    assert solver._inprocess(None)
+    assert solver.stats.subsumed_clauses == 1
+    assert _live_clauses(solver) == sorted([_encoded([1, 2]), _encoded([3, 4])])
+    solver._debug_check_watches()
+    result = solver.solve()
+    assert result.is_sat
+    assert _satisfies(result.model, [[1, 2], [1, 2, 3], [3, 4]])
+
+
+def test_inprocessing_strengthens_by_self_subsumption():
+    # Resolving (x1 v x2) with (~x1 v x2 v x3) on x1 gives (x2 v x3), which
+    # subsumes the second clause, so it loses ~x1.
+    solver = CdclSolver()
+    for clause in ([1, 2], [-1, 2, 3]):
+        solver.add_clause(clause)
+    assert solver._inprocess(None)
+    assert solver.stats.strengthened_clauses == 1
+    assert solver.stats.subsumed_clauses == 0
+    assert _live_clauses(solver) == sorted([_encoded([1, 2]), _encoded([2, 3])])
+    solver._debug_check_watches()
+    result = solver.solve(assumptions=[-2])
+    assert result.is_sat
+    assert result.model[1] and result.model[3]
+
+
+@given(random_cnf())
+@settings(max_examples=80, deadline=None)
+def test_aggressive_inprocessing_models_satisfy_the_original_clauses(clauses):
+    """Subsumption and strengthening rewrite the clause database; the model
+    handed back must still satisfy every clause as originally added."""
+    solver = _aggressive()
+    dpll = DpllSolver()
+    for clause in clauses:
+        solver.add_clause(clause)
+        dpll.add_clause(clause)
+    _inprocess_before_search(solver)
+    result = solver.solve()
+    assert result.is_sat == dpll.solve().is_sat
+    if result.is_sat:
+        assert _satisfies(result.model, clauses)
+
+
+@given(
+    random_cnf(max_clauses=25),
+    st.lists(
+        st.integers(min_value=1, max_value=MAX_VARIABLES).map(
+            lambda v: v if v % 2 else -v
+        ),
+        max_size=4,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_assumption_cores_stay_sound_under_inprocessing(clauses, assumptions):
+    """With inprocessing firing, the reported core is a subset of the
+    assumptions and the formula plus the core as units is still UNSAT."""
+    solver = _aggressive()
+    for clause in clauses:
+        solver.add_clause(clause)
+    dpll = DpllSolver()
+    for clause in clauses:
+        dpll.add_clause(clause)
+    for literal in assumptions:
+        dpll.add_clause([literal])
+    _inprocess_before_search(solver)
+    result = solver.solve(assumptions=assumptions)
+    assert result.is_sat == dpll.solve().is_sat
+    if not result.is_sat:
+        core = solver.failed_assumptions()
+        assert set(core) <= set(assumptions)
+        check = DpllSolver()
+        for clause in clauses:
+            check.add_clause(clause)
+        for literal in core:
+            check.add_clause([literal])
+        assert not check.solve().is_sat
